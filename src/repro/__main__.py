@@ -356,7 +356,6 @@ def _cmd_match(args) -> int:
                 restore=restore,
                 spares=args.spares,
                 replicas=args.replicas,
-                # None → RunConfig's default ($REPRO_ENGINE or threaded)
                 **({"engine": args.engine} if args.engine else {}),
             ),
         )
@@ -575,6 +574,8 @@ def _cmd_submit(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.mpisim.engine import ENGINES
+
     parser = argparse.ArgumentParser(
         prog="repro", description="IPDPS'19 MPI graph-matching reproduction"
     )
@@ -628,10 +629,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_match.add_argument("--machine", default="cori-aries")
     p_match.add_argument(
-        "--engine", default=None, choices=["threaded", "coroutine", "vector"],
-        help="execution engine (bit-identical results; coroutine scales "
-        "to thousands of ranks, vector to tens of thousands). "
-        "Default: $REPRO_ENGINE or threaded",
+        "--engine", default=None, choices=ENGINES,
+        help="execution engine (bit-identical results; vector pays only "
+        "at tens of thousands of ranks; default: coroutine)",
     )
     p_match.add_argument(
         "--config", default="", metavar="FILE.toml",
@@ -886,8 +886,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_submit.add_argument("--machine", default="cori-aries")
     p_submit.add_argument(
-        "--engine", default=None, choices=["threaded", "coroutine", "vector"],
-        help="execution engine (cache-neutral: results are bit-identical)",
+        "--engine", default=None, choices=ENGINES,
+        help="execution engine (cache-neutral: results are bit-identical; "
+        "default: coroutine)",
     )
     p_submit.add_argument("--seed", type=int, default=None,
                           help="graph generator seed (default: registry seed)")

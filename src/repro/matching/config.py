@@ -16,12 +16,12 @@ results (the shim only repackages the values).
 from __future__ import annotations
 
 import dataclasses
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.matching.driver import MatchingOptions
 from repro.mpisim.checkpoint import CheckpointConfig, EngineSnapshot
+from repro.mpisim.engine import ENGINES, SCHEDULERS
 from repro.mpisim.faults import FaultPlan
 from repro.mpisim.machine import MachineModel
 
@@ -49,13 +49,13 @@ class RunConfig:
     compute_weight: bool = True  #: weigh the matching (skip for timing
     #: sweeps that only need the makespan)
     scheduler: str = "heap"  #: engine scheduler ("heap" or "reference")
-    engine: str = field(
-        default_factory=lambda: os.environ.get("REPRO_ENGINE", "threaded")
-    )  #: execution engine ("threaded", "coroutine", or "vector"); all
-    #: bit-identical, coroutine scales to P>=4096 and vector (coroutine
-    #: plus fused guard-checked fast paths) to P>=16384 (docs/
-    #: engine_scheduling.md). Default comes from $REPRO_ENGINE so CI can
-    #: run the whole suite under any engine without code changes.
+    engine: str = "coroutine"  #: execution engine ("coroutine",
+    #: "vector", or "threaded"); all bit-identical (docs/
+    #: engine_scheduling.md). Coroutine steps each rank as a generator,
+    #: so a token switch is a function call rather than an OS thread
+    #: hand-off; vector adds fused guard-checked fast paths that pay
+    #: only at P in the tens of thousands; threaded (one OS thread per
+    #: rank) is the reference engine for plain blocking programs.
 
     # -- checkpoint/restart (docs/fault_model.md) ---------------------
     checkpoint: CheckpointConfig | None = None  #: take coordinated
@@ -73,6 +73,18 @@ class RunConfig:
     #: topology stay constant across recovery epochs
     replicas: int = 2  #: buddy-replication degree k for the diskless
     #: replicated checkpoint store (only meaningful with ``spares > 0``)
+
+    def __post_init__(self) -> None:
+        # Fail at construction (and in evolve), not inside Engine.__init__
+        # after the graph has already been partitioned.
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; pick from {ENGINES}"
+            )
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(
+                f"unknown scheduler {self.scheduler!r}; pick from {SCHEDULERS}"
+            )
 
     def evolve(self, **changes) -> "RunConfig":
         """A copy with ``changes`` applied (frozen-dataclass ``replace``)."""

@@ -188,6 +188,8 @@ class EngineResult:
     machine: MachineModel
     scheduler_switches: int
     total_ops: int
+    engine: str  #: execution engine that ran it (not part of any
+    #: fingerprint or cache key: the engines are bit-identical)
     crashed_ranks: tuple[int, ...] = ()  #: ranks killed by the fault plan
     final_clocks: tuple[float, ...] = ()  #: per-rank final virtual clocks
     trace: list | None = None  #: TraceEvent list when tracing was enabled
@@ -512,6 +514,7 @@ class Engine:
             machine=self.machine,
             scheduler_switches=self._switches,
             total_ops=self._op_count,
+            engine=self.engine,
             crashed_ranks=tuple(sorted(self._crashed)),
             final_clocks=tuple(rs.clock for rs in self._ranks),
             trace=self.trace,

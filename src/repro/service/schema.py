@@ -34,8 +34,6 @@ SCHEMA_VERSION = 1
 
 #: models the service will execute (mirrors the `repro match` choices)
 MODELS = ("nsr", "rma", "ncl", "mbp", "incl", "nsr-agg")
-ENGINES = ("threaded", "coroutine", "vector")
-SCHEDULERS = ("heap", "reference")
 
 
 class SchemaError(ValueError):
@@ -155,6 +153,7 @@ class WireConfig:
     agg_flush_count: int | None = None
 
     def validate(self) -> None:
+        from repro.mpisim.engine import ENGINES, SCHEDULERS
         from repro.mpisim.machine import PRESETS
 
         if self.machine not in PRESETS:

@@ -43,6 +43,17 @@ def test_cli_match_rejects_unknown_model():
         main(["match", "rmat-s10", "-m", "smoke-signals"])
 
 
+@pytest.mark.parametrize("cmd", ["match", "submit"])
+def test_cli_engine_flag_takes_the_engine_names(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "rmat-s10", "--engine", "corutine"])
+    assert exc.value.code == 2
+    assert "'coroutine', 'vector'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([cmd, "--help"])
+    assert "default: coroutine" in " ".join(capsys.readouterr().out.split())
+
+
 def test_paper_claims_cover_all_experiments():
     """Every registered experiment must have a paper-claim entry for the
     EXPERIMENTS.md report."""

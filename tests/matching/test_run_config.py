@@ -94,6 +94,28 @@ class TestRunConfig:
         assert cfg.trace is False and cfg.profile is False
         assert cfg.compute_weight is True and cfg.scheduler == "heap"
 
+    def test_engine_default_is_hermetic(self, monkeypatch):
+        """The default engine is a constant, not read from the environment."""
+        monkeypatch.setenv("REPRO_ENGINE", "threaded")
+        assert RunConfig().engine == "coroutine"
+        res = run_matching(rmat_graph(6, seed=2), 4, "nsr")
+        assert res.engine.engine == "coroutine"
+
+    def test_result_records_explicit_engine(self):
+        g = rmat_graph(6, seed=2)
+        res = run_matching(g, 4, "nsr", config=RunConfig(engine="threaded"))
+        assert res.engine.engine == "threaded"
+        assert fingerprint(res) == fingerprint(run_matching(g, 4, "nsr"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("engine", "corutine"), ("engine", None), ("scheduler", "hep"),
+    ])
+    def test_typo_rejected_at_construction_and_by_evolve(self, field, value):
+        with pytest.raises(ValueError, match=f"unknown {field}"):
+            RunConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"unknown {field}"):
+            RunConfig(profile=True).evolve(**{field: value})
+
     def test_compute_weight_false_yields_nan(self):
         g = rmat_graph(6, seed=2)
         res = run_matching(g, 4, "nsr", config=RunConfig(compute_weight=False))
