@@ -51,10 +51,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.mpisim.faults import ChurnPlan, FaultPlan, NicDegradation, PartitionWindow
-from repro.util.rng import derive_seed
+from repro.util.rng import derive_seed, unit
 from repro.matching.config import RunConfig
-
-_U63 = float(1 << 63)
 
 #: verdict classes, from most to least severe (sort key for reporting);
 #: ``unrecoverable`` (churn outpaced replication, reported and proved
@@ -65,10 +63,6 @@ STATUSES = ("hang", "crash", "invalid", "nondet", "unrecoverable", "ok")
 _ACCEPTED = ("unrecoverable", "ok")
 
 Runner = Callable[[str, FaultPlan], tuple[str, str]]
-
-
-def _unit(seed: int, *stream) -> float:
-    return derive_seed(seed, *stream) / _U63
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +91,7 @@ def sample_plan(
     """
 
     def u(*tag) -> float:
-        return _unit(seed, "chaos", index, *tag)
+        return unit(seed, "chaos", index, *tag)
 
     if churn:
         plan_seed = derive_seed(seed, "plan-seed", index) & 0x7FFFFFFF
@@ -276,7 +270,7 @@ def restart_matching_runner(
             "spurious_detections": ref_totals["spurious_detections"],
         }
         for k in range(kills):
-            kill_t = (0.25 + 0.6 * _unit(plan.seed, "kill", k)) * ref.makespan
+            kill_t = (0.25 + 0.6 * unit(plan.seed, "kill", k)) * ref.makespan
             kstore = CheckpointStore()
             try:
                 run_matching(

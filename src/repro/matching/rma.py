@@ -53,17 +53,18 @@ from repro.mpisim.engine import run_inline
 from repro.mpisim.errors import RankCrashed
 from repro.mpisim.topology import DistGraphTopology
 from repro.mpisim.window import Window
-from repro.util.rng import derive_seed
+from repro.util.rng import derive_from, label_prefix
 
 _SLOT = 3  # (context, x, y) int64 words per message slot
 _VSLOT = 4  # (checksum, context, x, y) words under put-fate verification
 
 _CHK_MASK = 0x7FFFFFFFFFFFFFFF
+_CHK_PREFIX = label_prefix(0x5EED)  # seed fold shared by every checksum
 
 
 def slot_checksum(ctx_id: int, x: int, y: int) -> int:
     """Nonzero int64 checksum over one message slot's payload words."""
-    return (derive_seed(0x5EED, ctx_id, x, y) & _CHK_MASK) | 1
+    return (derive_from(_CHK_PREFIX, ctx_id, x, y) & _CHK_MASK) | 1
 
 
 class RMABackend:

@@ -83,7 +83,7 @@ class RankContext:
         dt = self.machine.compute_time(units) if seconds is None else seconds
         if dt > 0.0:
             self._engine.charge_compute(self.rank, dt)
-            if self._engine.faults is not None:
+            if self._engine._may_crash:
                 # A compute burst can carry the clock past this rank's
                 # scheduled crash; don't let it outrun death.
                 self._engine._check_self_crash(self.rank)
@@ -136,14 +136,14 @@ class RankContext:
 
     def is_failed(self, rank: int) -> bool:
         """Has ``rank``'s failure been detected by now? (No side effects.)"""
-        plan = self._engine.faults
-        if plan is None:
+        if not self._engine._may_crash:
             return False
         if self._engine._recovery is not None:
             # Recovery heals every crash before any survivor can observe
             # it (the dead slot is refilled by a spare under the same
             # rank id), so peers never appear failed.
             return False
+        plan = self._engine.faults
         tc = plan.crash_time(rank)
         return tc is not None and self.now >= tc + plan.detect_latency
 
@@ -267,7 +267,7 @@ class RankContext:
         if nbytes is None:
             nbytes = payload_nbytes(payload)
         eng = self._engine
-        if eng.faults is not None and self.is_failed(dest):
+        if eng._may_crash and self.is_failed(dest):
             # ULFM semantics: the library refuses communication with a
             # peer it already knows to be dead (MPI_ERR_PROC_FAILED).
             raise RankCrashed(dest)

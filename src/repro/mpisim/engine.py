@@ -313,6 +313,13 @@ class Engine:
         self.max_ops = max_ops
         self.max_vtime = max_vtime
         self.faults = faults
+        # Can any rank die in this run? Only crash and churn plans kill;
+        # message, RMA, degradation and partition faults never do, so
+        # every crash check (scheduler decisions, rank yield points,
+        # ``RankContext.is_failed``) returns at once when this is False.
+        self._may_crash = faults is not None and (
+            faults.has_crashes() or faults.has_churn()
+        )
         self.scheduler = scheduler
         self._use_heap = scheduler == "heap"
         self.engine = engine
@@ -836,7 +843,7 @@ class Engine:
         return False
 
     def _scheduler_loop_heap(self) -> None:
-        faults = self.faults
+        may_crash = self._may_crash
         while True:
             if self._recovery_due is not None:
                 self._perform_recovery()
@@ -859,7 +866,7 @@ class Engine:
             rs = ranks[rank]
             if self._audit:
                 self._audit_decision(t, rank)
-            if faults is not None:
+            if may_crash:
                 tc = self._scheduled_crash(rank)
                 if tc is not None and t >= tc:
                     self._crash_rank(rs, tc)
@@ -1257,7 +1264,7 @@ class Engine:
         rs = self._ranks[rank]
         if rs.clock < self._ckpt_next_due:
             return
-        if self.faults is not None:
+        if self._may_crash:
             self._check_self_crash(rank)
         rs.describe = "checkpoint-tick"
         rs.wait_phase = "checkpoint-wait"
@@ -1285,7 +1292,7 @@ class Engine:
         churn event targets a *slot*, so after a spare substitution the
         next event on the same slot kills the substitute.
         """
-        if self.faults is None or rank in self._crashed:
+        if not self._may_crash or rank in self._crashed:
             return None
         cand = None
         if rank not in self._fired_crashes:
@@ -1553,7 +1560,7 @@ class Engine:
         valid heap top (every other wakeable rank is indexed); the
         reference scheduler scans all ranks' clock lower bounds.
         """
-        if self.faults is not None:
+        if self._may_crash:
             self._check_self_crash(rank)
         rs = self._ranks[rank]
         g = self._guard
@@ -1640,7 +1647,7 @@ class Engine:
         replayed token order reaches its candidate time, exactly as the
         uninterrupted run's rank did.
         """
-        if self.faults is not None:
+        if self._may_crash:
             self._check_self_crash(rank)
         rs = self._ranks[rank]
         rs.describe = describe

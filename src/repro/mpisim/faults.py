@@ -34,14 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.util.rng import derive_seed
-
-_U63 = float(1 << 63)
-
-
-def _unit(seed: int, *stream: int | str) -> float:
-    """Uniform [0, 1) draw as a pure function of (seed, stream)."""
-    return derive_seed(seed, *stream) / _U63
+from repro.util.rng import derive_from, label_prefix, unit_from
 
 
 @dataclass(frozen=True)
@@ -169,6 +162,7 @@ class ChurnPlan:
                 f"ChurnPlan.horizon must be > 0, got {self.horizon}"
             )
         object.__setattr__(self, "_events", {})
+        object.__setattr__(self, "_p_churn", label_prefix(self.seed, "churn"))
 
     def events_for(self, rank: int) -> tuple[float, ...]:
         """Time-sorted churn crash times for ``rank`` (cached)."""
@@ -178,7 +172,7 @@ class ChurnPlan:
             t = 0.0
             idx = 0
             while True:
-                u = _unit(self.seed, "churn", rank, idx)
+                u = unit_from(self._p_churn, rank, idx)
                 t += -self.mtbf * math.log(1.0 - u)
                 if t >= self.horizon:
                     break
@@ -314,6 +308,16 @@ class FaultPlan:
             "_partitions_sorted",
             tuple(sorted(self.partitions, key=lambda w: (w.t_start, w.t_end))),
         )
+        # Fold each fate label into the seed once: a draw then hashes
+        # only its integer counters (bit-identical to hashing the whole
+        # stream per draw, see repro.util.rng.label_prefix).
+        for attr, label in (
+            ("_p_drop", "drop"), ("_p_dup", "dup"),
+            ("_p_delay_q", "delay?"), ("_p_delay", "delay"),
+            ("_p_rma_drop", "rma-drop"), ("_p_rma_corrupt", "rma-corrupt"),
+            ("_p_rma_pos", "rma-pos"), ("_p_rma_mask", "rma-mask"),
+        ):
+            object.__setattr__(self, attr, label_prefix(self.seed, label))
 
     # ------------------------------------------------------------------
     # classification
@@ -366,19 +370,19 @@ class FaultPlan:
         """
         if not self._msg_faults:
             return _NO_FAULT
-        if self.drop_rate > 0.0 and _unit(self.seed, "drop", src, dst, index) < self.drop_rate:
+        if self.drop_rate > 0.0 and unit_from(self._p_drop, src, dst, index) < self.drop_rate:
             return MessageFate(copies=0, delays=())
         copies = 1
-        if self.dup_rate > 0.0 and _unit(self.seed, "dup", src, dst, index) < self.dup_rate:
+        if self.dup_rate > 0.0 and unit_from(self._p_dup, src, dst, index) < self.dup_rate:
             copies = 2
         delays = []
         for c in range(copies):
             d = 0.0
             if (
                 self.delay_rate > 0.0
-                and _unit(self.seed, "delay?", src, dst, index, c) < self.delay_rate
+                and unit_from(self._p_delay_q, src, dst, index, c) < self.delay_rate
             ):
-                u = _unit(self.seed, "delay", src, dst, index, c)
+                u = unit_from(self._p_delay, src, dst, index, c)
                 d = self.delay_min + u * (self.delay_max - self.delay_min)
             delays.append(d)
         return MessageFate(copies=copies, delays=tuple(delays))
@@ -398,12 +402,12 @@ class FaultPlan:
             return "ok"
         if (
             self.rma_drop_rate > 0.0
-            and _unit(self.seed, "rma-drop", origin, target, index) < self.rma_drop_rate
+            and unit_from(self._p_rma_drop, origin, target, index) < self.rma_drop_rate
         ):
             return "drop"
         if (
             self.rma_corrupt_rate > 0.0
-            and _unit(self.seed, "rma-corrupt", origin, target, index)
+            and unit_from(self._p_rma_corrupt, origin, target, index)
             < self.rma_corrupt_rate
         ):
             return "corrupt"
@@ -411,8 +415,8 @@ class FaultPlan:
 
     def corrupt_word(self, origin: int, target: int, index: int, size: int) -> tuple[int, int]:
         """Deterministic (word position, nonzero xor mask) for a corrupt put."""
-        pos = derive_seed(self.seed, "rma-pos", origin, target, index) % max(1, size)
-        mask = derive_seed(self.seed, "rma-mask", origin, target, index) | 1
+        pos = derive_from(self._p_rma_pos, origin, target, index) % max(1, size)
+        mask = derive_from(self._p_rma_mask, origin, target, index) | 1
         return int(pos), int(mask & 0x7FFFFFFFFFFFFFFF)
 
     # ------------------------------------------------------------------

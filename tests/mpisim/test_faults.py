@@ -12,7 +12,9 @@ from repro.mpisim import (
     fault_summary,
     trace_to_csv,
 )
-from repro.mpisim.faults import NicDegradation
+from repro.mpisim.checkpoint import CheckpointConfig
+from repro.mpisim.faults import NicDegradation, PartitionWindow
+from repro.mpisim.recovery import RecoveryConfig
 
 
 def chatter(ctx):
@@ -190,6 +192,74 @@ class TestCrashes:
 
         res = Engine(2, cori_aries(), faults=plan).run(prog)
         assert res.rank_results[0] == [1]
+
+
+class TestCrashFlag:
+    """Only crash and churn plans arm the engine's crash bookkeeping;
+    every other fault class skips it without changing behaviour."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(seed=1, drop_rate=0.1, dup_rate=0.1, delay_rate=0.1),
+            FaultPlan(seed=1, rma_drop_rate=0.1, rma_corrupt_rate=0.1),
+            FaultPlan(degradations=(
+                NicDegradation(rank=0, t_start=0.0, t_end=1.0, factor=2.0),)),
+            FaultPlan(partitions=(
+                PartitionWindow(t_start=0.0, t_end=1e-4, groups=((0,), (1,))),)),
+        ],
+        ids=["message", "rma", "degradation", "partition"],
+    )
+    def test_non_killing_plans_leave_flag_off(self, plan):
+        assert Engine(4, cori_aries(), faults=plan)._may_crash is False
+
+    def test_no_plan_leaves_flag_off(self):
+        assert Engine(4, cori_aries())._may_crash is False
+        assert Engine(4, cori_aries(), faults=FaultPlan())._may_crash is False
+
+    def test_crash_plan_sets_flag(self):
+        plan = FaultPlan(seed=1, drop_rate=0.1, crashes={1: 1e-4})
+        assert Engine(4, cori_aries(), faults=plan)._may_crash is True
+
+    def test_churn_plan_sets_flag(self):
+        eng = Engine(
+            4, cori_aries(),
+            faults=FaultPlan.churn(mtbf=1e-3, horizon=1e-2),
+            checkpoint=CheckpointConfig(interval=1e-4),
+            recovery=RecoveryConfig(),
+        )
+        assert eng._may_crash is True
+
+    @pytest.mark.parametrize("engine", ["threaded", "coroutine"])
+    def test_is_failed_and_crash_time_under_message_faults(self, engine):
+        tc, detect = 2e-6, 3e-6
+        t_notify = tc + detect
+        plan = FaultPlan(seed=5, drop_rate=0.2, dup_rate=0.1, delay_rate=0.3,
+                         crashes={1: tc}, detect_latency=detect)
+
+        def prog(ctx):
+            if ctx.rank == 1:
+                for i in range(4):
+                    yield from ctx.isend_g(0, i, tag=1, nbytes=24)
+                ctx.compute(seconds=1.0)  # dies at tc inside the burst
+                return "unreachable"
+            for i in range(4):
+                yield from ctx.isend_g(2, i, tag=1, nbytes=24)
+            if ctx.rank != 0:
+                return None
+            assert ctx.now < t_notify - 1e-9
+            ctx.compute(seconds=(t_notify - 1e-9) - ctx.now)
+            before = ctx.is_failed(1)
+            ctx.compute(seconds=2e-9)
+            return before, ctx.is_failed(1), ctx.is_failed(2)
+
+        eng = Engine(3, cori_aries(), faults=plan, engine=engine)
+        res = eng.run(prog)
+        assert eng._may_crash is True
+        assert res.rank_results[0] == (False, True, False)
+        assert res.crashed_ranks == (1,)
+        assert eng.crashed_at() == {1: tc}
+        assert res.rank_results[1] is None
 
 
 class TestDegradation:
